@@ -83,6 +83,8 @@ def _read_column(path):
         data = np.array([float(r[0]) for r in body if r])
     except ValueError as exc:
         raise CliError(f"{path}: non-numeric data ({exc})", EXIT_USAGE) from exc
+    if not np.all(np.isfinite(data)):
+        raise CliError(f"{path}: data must be finite (no nan or inf)", EXIT_USAGE)
     if len(data) == 0:
         raise CliError(f"{path} contains no observations", EXIT_USAGE)
     return data
@@ -301,6 +303,8 @@ def cmd_simulate(args):
 
 
 def cmd_case_study(args):
+    if not 0.0 < args.quantile <= 1.0:
+        raise CliError(f"--quantile must be in (0, 1], got {args.quantile}", EXIT_USAGE)
     if args.input:
         data = _read_column(args.input)
     else:

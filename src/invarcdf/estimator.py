@@ -134,6 +134,8 @@ class StepEstimator:
 
     def quantile(self, p):
         """Generalized inverse: smallest knot with estimated cdf >= p (inf if none)."""
+        if np.isnan(p):
+            raise ValueError("quantile level must not be NaN")
         u = self.values.as_array().copy()
         if self.tail_value is not None:
             u[-1] = self.tail_value
@@ -465,7 +467,6 @@ def genuineness_check(target, invariant):
 
 
 def _break_ties(data):
-    data = np.asarray(data, dtype=float)
     if len(np.unique(data)) == len(data):
         return data
     warnings.warn("tied observations perturbed deterministically", TiesDetected)
@@ -478,6 +479,9 @@ def _break_ties(data):
 
 def fit(data, v, tail=None):
     """Bind a level vector to data: knots are the sorted observations."""
+    data = np.asarray(data, dtype=float)
+    if not np.all(np.isfinite(data)):
+        raise ValueError("data must be finite: NaN and inf cannot be knots")
     data = _break_ties(data)
     if len(data) != v.n:
         raise ValueError(f"weight vector is for n={v.n}, got {len(data)} observations")

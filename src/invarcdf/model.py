@@ -206,13 +206,6 @@ class LossSpec:
                 raise ValueError("step weights must lie in (0, 1]")
             object.__setattr__(self, "step_weights", tuple(float(x) for x in w))
 
-    @property
-    def convex_on_positive(self):
-        """True when rho is convex on (0, inf); drives odds-divergence screening."""
-        if self.rho in ("squared", "linex", "entropy_ratio", "absolute"):
-            return True
-        return self.p >= 1
-
     def rho_eval(self, z):
         z = np.asarray(z, dtype=float)
         if self.rho == "squared":

@@ -78,6 +78,13 @@ class TestEstimate:
         inp.write_text("")
         assert main(["estimate", "--input", str(inp)]) == 2
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_data_usage_error(self, tmp_path, capsys, bad):
+        inp = _write_csv(tmp_path / "d.csv", ["1.0", bad, "2.0"])
+        assert main(["estimate", "--input", inp, "--out", str(tmp_path / "e.json")]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "e.json").exists()
+
 
 class TestRisk:
     def test_quadrature_n1(self, tmp_path):
@@ -182,3 +189,10 @@ class TestCaseStudy:
 
     def test_missing_input_io_error(self, tmp_path):
         assert main(["case-study", "--input", str(tmp_path / "nope.csv")]) == 4
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "0", "1.5"])
+    def test_bad_quantile_usage_error(self, tmp_path, capsys, bad):
+        out = tmp_path / "cs.csv"
+        assert main(["case-study", "--quantile", bad, "--out", str(out)]) == 2
+        assert "--quantile" in capsys.readouterr().err
+        assert not out.exists()

@@ -307,3 +307,13 @@ class TestStepEstimator:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             fit([1.0, 2.0, 3.0], WeightVector.from_array([0.2, 0.8]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_data(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            fit([1.0, bad, 2.0], WeightVector.from_array([0.2, 0.4, 0.6, 0.8]))
+
+    def test_quantile_rejects_nan(self):
+        est = fit([1.0, 2.0, 3.0], WeightVector.from_array([0.0, 0.3, 0.6, 1.0]))
+        with pytest.raises(ValueError):
+            est.quantile(np.nan)

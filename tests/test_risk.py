@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
+from invarcdf import risk
 from invarcdf.estimator import WeightVector, best_invariant, constrained_weights, fit
-from invarcdf.model import BalancedSpec, LossSpec, Transform
+from invarcdf.model import BalancedSpec, LossSpec, Transform, WeightFunction
 from invarcdf.risk import (
     Sampler,
     balanced_quad_risk,
@@ -133,6 +135,168 @@ class TestMcRisk:
     def test_rejects_bad_reps(self):
         with pytest.raises(ValueError):
             mc_risk(AGGARWAL_1, Sampler("uniform01"), LossSpec("squared"), reps=0)
+
+
+def _quad_loss_per_draw(s_sorted, levels, loss, tau):
+    """Independent oracle for risk._loss_per_draw: adaptive quadrature of every
+    segment, with the kink s = u_i passed as a breakpoint."""
+    out = []
+    step_w = np.ones(len(levels)) if loss.step_weights is None else loss.step_weights
+    for s in s_sorted:
+        bounds = np.concatenate([[0.0], s, [1.0]])
+        total = 0.0
+        for i, u in enumerate(levels):
+            a, b = bounds[i], bounds[i + 1]
+
+            def f(t, tau_u=tau.eval(u)):
+                h = 1.0 if loss.H is None else loss.H.eval(t)
+                return loss.rho_eval(tau_u - tau.eval(t)) * h
+
+            points = [u] if a < u < b else None
+            val, _ = quad(f, a, b, points=points, epsabs=1e-14, epsrel=1e-13, limit=200)
+            total += step_w[i] * val
+        out.append(total)
+    return np.array(out)
+
+
+def _draws_and_levels(n, reps=20, seed=4):
+    levels = np.sort(np.random.default_rng(n).uniform(size=n + 1))
+    s_sorted = np.sort(risk._uniforms(reps, n, seed), axis=1)
+    return s_sorted, levels
+
+
+class TestMcEngine:
+    @pytest.mark.parametrize("n", [1, 3, 5, 30])
+    def test_uniforms_independent_of_chunking(self, n):
+        whole = risk._uniforms(40, n, seed=11)
+        chunks = np.vstack(
+            [
+                risk._uniforms(7, n, 11),
+                risk._uniforms(20, n, 11, offset=7),
+                risk._uniforms(13, n, 11, offset=27),
+            ]
+        )
+        rows = np.vstack([risk._uniforms(1, n, 11, offset=r) for r in range(40)])
+        assert whole.shape == (40, n)
+        assert np.array_equal(whole, chunks)
+        assert np.array_equal(whole, rows)
+        assert np.all((whole >= 0.0) & (whole < 1.0))
+        other = risk._uniforms(40, n, seed=12)
+        assert not np.any(whole == other)
+
+    @pytest.mark.parametrize(
+        "loss",
+        [LossSpec("squared"), LossSpec("absolute"), LossSpec("lp", p=0.5), LossSpec("lp", p=3.0)],
+        ids=str,
+    )
+    @pytest.mark.parametrize("step_weights", [None, "graded"])
+    def test_closed_form_matches_quad(self, loss, step_weights):
+        n = 4
+        if step_weights:
+            loss = LossSpec(loss.rho, p=loss.p, step_weights=(1.0, 0.5, 0.25, 0.8, 0.1))
+        s_sorted, levels = _draws_and_levels(n)
+        identity = Transform("identity")
+        got = risk._loss_per_draw(s_sorted, np.tile(levels, (len(s_sorted), 1)), loss, identity)
+        want = _quad_loss_per_draw(s_sorted, levels, loss, identity)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 3, 10])
+    def test_kink_split_matches_quad(self, n):
+        # rho(tau(u) - tau(s)) is piecewise polynomial with tau(s) = s^2, so the
+        # split Gauss-Legendre rule is exact on each side of the kink
+        loss, tau = LossSpec("absolute"), Transform("power", m=2.0)
+        s_sorted, levels = _draws_and_levels(n)
+        got = risk._loss_per_draw(s_sorted, np.tile(levels, (len(s_sorted), 1)), loss, tau)
+        want = _quad_loss_per_draw(s_sorted, levels, loss, tau)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 3, 10])
+    def test_kink_on_singular_segment_end(self, n):
+        # empirical levels put the kinks u_0 = 0 and u_n = 1 on the outer
+        # segment ends, and H(s) = 0.5 s^-0.5 is infinite at 0: no node may
+        # land on 0 or 1, and the Monte Carlo risk must match quadrature
+        loss = LossSpec("absolute", H=WeightFunction("pow", c=0.5))
+        tau = Transform("identity")
+        v = WeightVector(n, tuple(np.arange(n + 1) / n))
+        s_sorted, _ = _draws_and_levels(n, reps=200)
+        per_draw = risk._loss_per_draw(s_sorted, np.tile(v.as_array(), (200, 1)), loss, tau)
+        assert np.all(np.isfinite(per_draw))
+        report = distribution_free_check(
+            v, loss, tau, [Sampler("uniform01"), Sampler("normal")], reps=4_000, seed=0
+        )
+        assert np.all(np.isfinite(report.mc_values))
+        assert report.passed, report.messages
+
+    @pytest.mark.parametrize(
+        "loss, tau, quadrature",
+        [
+            (LossSpec("squared"), Transform("identity"), False),
+            (LossSpec("lp", p=0.5), Transform("identity"), False),
+            (LossSpec("squared", H=WeightFunction("pow", c=2.0)), Transform("identity"), True),
+            (LossSpec("absolute"), Transform("log_odds"), True),
+            (LossSpec("linex", a=1.0), Transform("identity"), True),
+            (LossSpec("entropy_ratio"), Transform("identity"), True),
+        ],
+    )
+    def test_closed_form_only_where_exact(self, monkeypatch, loss, tau, quadrature):
+        calls = []
+        nodes = risk._segment_nodes
+        monkeypatch.setattr(
+            risk, "_segment_nodes", lambda *a, **k: calls.append(1) or nodes(*a, **k)
+        )
+        s_sorted, levels = _draws_and_levels(3, reps=5)
+        risk._loss_per_draw(s_sorted, np.tile(levels, (5, 1)), loss, tau)
+        assert bool(calls) == quadrature
+
+    def test_check_draws_once_for_weight_vector(self, monkeypatch):
+        calls = []
+        inner = risk.mc_risk
+        monkeypatch.setattr(risk, "mc_risk", lambda *a, **k: calls.append(1) or inner(*a, **k))
+        samplers = [Sampler("uniform01"), Sampler("normal"), Sampler("exponential")]
+        report = distribution_free_check(
+            best_invariant(3, LossSpec("squared")),
+            LossSpec("squared"),
+            Transform("identity"),
+            samplers,
+            reps=2_000,
+            seed=1,
+        )
+        assert len(calls) == 1
+        assert report.passed
+        assert report.labels == tuple(s.label() for s in samplers)
+        assert len(set(report.mc_values)) == 1
+
+    def test_check_fails_against_wrong_quadrature(self, monkeypatch):
+        exact = risk.invariant_risk
+
+        def off_by_one(*args, **kwargs):
+            return risk.RiskReport(value=exact(*args, **kwargs).value + 1.0)
+
+        monkeypatch.setattr(risk, "invariant_risk", off_by_one)
+        report = distribution_free_check(
+            best_invariant(3, LossSpec("squared")),
+            LossSpec("squared"),
+            Transform("identity"),
+            [Sampler("uniform01"), Sampler("normal")],
+            reps=2_000,
+            seed=1,
+        )
+        assert not report.passed
+        assert "disagrees with quadrature" in report.messages[0]
+
+    def test_check_fails_on_nan_risk(self, monkeypatch):
+        def nan_risk(*args, **kwargs):
+            return risk.RiskReport(value=float("nan"), stderr=float("nan"))
+
+        monkeypatch.setattr(risk, "mc_risk", nan_risk)
+        report = distribution_free_check(
+            best_invariant(3, LossSpec("squared")),
+            LossSpec("squared"),
+            Transform("identity"),
+            [Sampler("uniform01"), Sampler("normal")],
+            reps=10,
+        )
+        assert not report.passed
 
 
 class TestBalancedDecompose:
