@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
+from scipy import special as sc
 
 from .errors import (
     DivergentIntegral,
@@ -27,8 +27,9 @@ from .errors import (
     NonMonotoneResult,
     TiesDetected,
 )
-from .model import LossSpec, Transform, WeightFunction
-from .special import BetaIndex, beta_moment, digamma, inv_reg_inc_beta, log_beta, quad_beta_weighted
+from .model import LossSpec, Transform
+from .special import BetaIndex, _panel_nodes, beta_moment, digamma, gauss_legendre_01, inv_reg_inc_beta
+from .special import log_beta, quad_beta_weighted
 
 __all__ = [
     "WeightVector",
@@ -133,14 +134,14 @@ class StepEstimator:
         return self.evaluate(t)
 
     def quantile(self, p):
-        """Generalized inverse: smallest knot with estimated cdf >= p (inf if none)."""
+        """Generalized inverse inf{t : F(t) >= p}: -inf if p <= u_0, inf if no level reaches p."""
         if np.isnan(p):
             raise ValueError("quantile level must not be NaN")
         u = self.values.as_array().copy()
         if self.tail_value is not None:
             u[-1] = self.tail_value
-        hit = np.nonzero(u[1:] >= p)[0]
-        return self.knots[hit[0]] if len(hit) else float("inf")
+        hit = np.nonzero(u >= p)[0]
+        return ((float("-inf"),) + self.knots)[hit[0]] if len(hit) else float("inf")
 
     def to_json(self):
         # json round-trips floats via repr (17 significant digits), so re-loading
@@ -167,8 +168,6 @@ class StepEstimator:
 # ---------------------------------------------------------------------------
 # generic per-step solver
 
-_GL_NODES, _GL_WEIGHTS = leggauss(16)
-
 
 def _objective_nodes(idx, H=None, extra_breaks=(), depth=200, n_interior=64):
     """Node/weight pairs absorbing the (H-weighted) binomial kernel.
@@ -186,10 +185,7 @@ def _objective_nodes(idx, H=None, extra_breaks=(), depth=200, n_interior=64):
             1.0,
         )
     )
-    lo, width = breaks[:-1], np.diff(breaks)
-    t = (lo[:, None] + (0.5 * (_GL_NODES + 1.0))[None, :] * width[:, None]).ravel()
-    w = ((0.5 * _GL_WEIGHTS)[None, :] * width[:, None]).ravel()
-    t = np.clip(t, 5e-324, np.nextafter(1.0, 0.0))
+    t, w = _panel_nodes(breaks)
     log_binom = -np.log(idx.n + 1) - log_beta(idx.a, idx.b)
     w = w * np.exp(log_binom + idx.i * np.log(t) + (idx.n - idx.i) * np.log1p(-t))
     if H is not None:
@@ -281,17 +277,11 @@ def solve_weight(idx, loss, tau=Transform("identity"), tol=1e-10):
     return float(c if fc < fd else d)
 
 
-def _weighted_mean_tau(idx, tau, H, tol=1e-11):
+def _weighted_mean_tau(idx, tau, H):
     """Ratio of integrals giving the H-weighted posterior mean of tau(T_i)."""
-    num = quad_beta_weighted(
-        lambda t: tau.eval(t) * (H.eval(t) if H is not None else 1.0), idx, tol=tol
-    )
-    den = (
-        quad_beta_weighted(lambda t: H.eval(t), idx, tol=tol)
-        if H is not None
-        else None
-    )
-    return num.value / (den.value if den is not None else 1.0 / (idx.n + 1))
+    num = quad_beta_weighted(lambda t: tau.eval(t) * (H.eval(t) if H is not None else 1.0), idx, tol=1e-11)
+    den = quad_beta_weighted(H.eval, idx, tol=1e-11).value if H is not None else 1.0 / (idx.n + 1)
+    return num.value / den
 
 
 def weighted_solve(idx, loss, tau=Transform("identity"), tol=1e-10):
@@ -315,8 +305,28 @@ def weighted_solve(idx, loss, tau=Transform("identity"), tol=1e-10):
 # closed forms
 
 
+def _median_nom_levels(i, n, k, reweighted):
+    """Median-nomination levels of steps i, exact by the substitution t = Psi(x).
+
+    Psi is the Beta(a, a) cdf, a = (k+1)/2, and h_i(t) = C(n,i) t^i (1-t)^(n-i).
+    L1 = (n+1) int x h_i(Psi) Psi' dx; L2 (kernel reweighted by (Psi^-1)') =
+    int x h_i(Psi) dx / int h_i(Psi) dx.  The integrands are polynomials of
+    degree <= k(n+1), so the Gauss-Legendre rule below is exact.  1 - Psi(x) is
+    taken as Psi(1 - x), which has no cancellation.
+    """
+    a = (k + 1) / 2
+    x, w = gauss_legendre_01(k * (n + 1) // 2 + 1)
+    i = np.asarray(i, dtype=float)[..., None]
+    log_h = -np.log(n + 1) - sc.betaln(i + 1, n - i + 1) + sc.xlogy(i, sc.betainc(a, a, x))
+    h = np.exp(log_h + sc.xlogy(n - i, sc.betainc(a, a, 1.0 - x)))
+    if reweighted:
+        return (h @ (w * x)) / (h @ w)
+    dpsi = np.exp((a - 1.0) * (np.log(x) + np.log1p(-x)) - sc.betaln(a, a))
+    return (n + 1) * (h @ (w * x * dpsi))
+
+
 def _mean_tau(idx, tau):
-    """E[tau(T_i)], closed form when available, quadrature otherwise."""
+    """E[tau(T_i)] in closed form, or exactly by substitution for median_nom."""
     i, n = idx.i, idx.n
     if tau.kind == "identity":
         return (i + 1) / (n + 2)
@@ -333,9 +343,7 @@ def _mean_tau(idx, tau):
         if i >= n:
             raise DivergentMoment(f"E[T/(1-T)] diverges at i=n={n}")
         return (i + 1) / (n - i)
-    # median_nom and anything else: numeric
-    res = quad_beta_weighted(lambda t: tau.eval(t), idx, tol=1e-12)
-    return res.value * (n + 1)
+    return float(_median_nom_levels(i, n, tau.k, reweighted=False))
 
 
 def sel_tau_weights(n, tau):
@@ -374,22 +382,18 @@ def minima_weights(n, k):
     return WeightVector.from_array(u1), WeightVector.from_array(u2)
 
 
-def median_nom_weights(n, k, variant="L1", tol=1e-11):
-    """Optimal levels for median-nomination sets of size k (odd), by quadrature.
+def median_nom_weights(n, k, variant="L1"):
+    """Optimal levels for median-nomination sets of size k (odd), exact by t = Psi(x).
 
     L1: posterior mean of the inverse median map; L2: the same mean under the
     kernel reweighted by the derivative of the inverse median map.
     """
     if variant not in ("L1", "L2"):
         raise ValueError("variant must be 'L1' or 'L2'")
-    tau = Transform(kind="median_nom", k=k)
-    if variant == "L1":
-        u = np.array([_mean_tau(BetaIndex(i, n), tau) for i in range(n + 1)])
-    else:
-        H = WeightFunction(kind="median_nom", k=k)
-        u = np.array(
-            [_weighted_mean_tau(BetaIndex(i, n), tau, H, tol=tol) for i in range(n + 1)]
-        )
+    if n < 1:
+        raise ValueError("need n >= 1")
+    tau = Transform(kind="median_nom", k=k)  # rejects even k
+    u = _median_nom_levels(np.arange(n + 1), n, tau.k, reweighted=variant == "L2")
     # enforce the exact reflection symmetry u_{n-i} = 1 - u_i
     u = 0.5 * (u + 1.0 - u[::-1])
     return WeightVector.from_array(u)
@@ -466,15 +470,17 @@ def genuineness_check(target, invariant):
     return GenuinenessReport(ok=not failing, failing_indices=failing)
 
 
-def _break_ties(data):
-    if len(np.unique(data)) == len(data):
-        return data
+def _break_ties(knots):
+    """Move the j-th member of each run of equal sorted values up by j steps of at most
+    1e-9 * span, each run staying below the next value.  Untied values are kept exactly."""
+    gaps = np.diff(knots)
+    if np.all(gaps > 0):
+        return knots
     warnings.warn("tied observations perturbed deterministically", TiesDetected)
-    span = np.ptp(data) or 1.0
-    order = np.argsort(data, kind="stable")
-    ranks = np.empty_like(order)
-    ranks[order] = np.arange(len(data))
-    return data + ranks * 1e-9 * span
+    pos = np.arange(len(knots))
+    j = pos - np.maximum.accumulate(np.where(np.concatenate([[True], gaps > 0]), pos, 0))
+    step = min(1e-9 * (np.ptp(knots) or 1.0), np.min(gaps[gaps > 0], initial=np.inf) / (j.max() + 1))
+    return np.where(j > 0, knots + j * step, knots)
 
 
 def fit(data, v, tail=None):
@@ -482,7 +488,6 @@ def fit(data, v, tail=None):
     data = np.asarray(data, dtype=float)
     if not np.all(np.isfinite(data)):
         raise ValueError("data must be finite: NaN and inf cannot be knots")
-    data = _break_ties(data)
     if len(data) != v.n:
         raise ValueError(f"weight vector is for n={v.n}, got {len(data)} observations")
-    return StepEstimator(knots=tuple(np.sort(data)), values=v, tail_value=tail)
+    return StepEstimator(knots=tuple(_break_ties(np.sort(data))), values=v, tail_value=tail)

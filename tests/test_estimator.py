@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy import integrate
 from scipy import special as sc
 
 from invarcdf.errors import DivergentMoment, DivergentObjective, NonMonotoneResult, TiesDetected
@@ -21,6 +22,7 @@ from invarcdf.estimator import (
     solve_weight,
     weighted_solve,
 )
+from invarcdf.estimator import _mean_tau
 from invarcdf.model import BalancedSpec, LossSpec, Transform, WeightFunction
 from invarcdf.special import BetaIndex
 
@@ -168,6 +170,50 @@ class TestMedianNom:
         with pytest.raises(ValueError):
             median_nom_weights(10, 5, "L3")
 
+    @staticmethod
+    def _t_space_oracle(n, k):
+        """L1 and L2 levels from the original t-space integrals by adaptive
+        quadrature, with Psi^-1 from scipy's betaincinv.  Each integral is split
+        at 1/2 and the upper half is written in s = 1 - t, so that t near 1 is
+        resolved (Psi^-1(1 - s) = 1 - Psi^-1(s) by symmetry of Beta(a, a))."""
+        a = (k + 1) / 2
+
+        def integral(g, i):
+            log_c = -np.log(n + 1) - sc.betaln(i + 1, n - i + 1)
+
+            def half(r, mirror):
+                lo = sc.betaincinv(a, a, r)
+                h = np.exp(log_c + sc.xlogy(i, 1 - r if mirror else r) + sc.xlogy(n - i, r if mirror else 1 - r))
+                H = np.exp(sc.betaln(a, a) - (a - 1) * (np.log(lo) + np.log1p(-lo)))  # (Psi^-1)'
+                return g(1 - lo if mirror else lo, h, H)
+
+            return sum(
+                integrate.quad(half, 0, 0.5, args=(m,), epsabs=1e-15, epsrel=1e-14, limit=200)[0]
+                for m in (False, True)
+            )
+
+        u1 = [(n + 1) * integral(lambda x, h, H: x * h, i) for i in range(n + 1)]
+        u2 = [integral(lambda x, h, H: x * H * h, i) / integral(lambda x, h, H: H * h, i) for i in range(n + 1)]
+        return np.array(u1), np.array(u2)
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    @pytest.mark.parametrize("n,k", [(1, 3), (10, 3), (10, 5), (30, 7)])
+    def test_against_t_space_oracle(self, n, k):
+        u1, u2 = self._t_space_oracle(n, k)
+        np.testing.assert_allclose(median_nom_weights(n, k, "L1").as_array(), u1, rtol=0, atol=1e-12)
+        # the L2 endpoints i in {0, n} were off by 5.65e-7 at (10, 5) under
+        # adaptive quadrature of H = (Psi^-1)', which is singular at 0 and 1
+        np.testing.assert_allclose(median_nom_weights(n, k, "L2").as_array(), u2, rtol=0, atol=1e-12)
+        tau = Transform("median_nom", k=k)
+        mean_tau = [_mean_tau(BetaIndex(i, n), tau) for i in range(n + 1)]
+        np.testing.assert_allclose(mean_tau, u1, rtol=0, atol=1e-12)
+
+    def test_rejects_bad_size(self):
+        with pytest.raises(ValueError):
+            median_nom_weights(10, 4)
+        with pytest.raises(ValueError):
+            median_nom_weights(0, 5)
+
 
 class TestMle:
     def test_maxima(self):
@@ -304,6 +350,28 @@ class TestStepEstimator:
             est = fit([1.0, 1.0], v)
         assert est.knots[0] < est.knots[1]
 
+    def test_ties_leave_untied_values_bit_identical(self):
+        rng = np.random.default_rng(7)
+        data = rng.normal(size=1000)
+        data[10] = data[20] = data[30]  # one run of three
+        data[40] = data[50]  # and one of two
+        v = WeightVector.from_array(np.linspace(0.0, 1.0, 1001))
+        with pytest.warns(TiesDetected):
+            knots = np.array(fit(data, v).knots)
+        moved = knots != np.sort(data)
+        assert moved.sum() == 3  # the second and third of the run, the second of the pair
+        np.testing.assert_array_equal(np.sort(knots[~moved]), np.sort(np.unique(data)))
+        shift = knots[moved] - np.sort(data)[moved]
+        assert np.all(shift > 0) and np.all(shift < 3e-9 * np.ptp(data))
+
+    def test_ties_stay_below_a_close_next_value(self):
+        # the spread of a run must not reach the next distinct value
+        v = WeightVector.from_array([0.0, 0.2, 0.4, 0.6, 0.8, 1.0])
+        with pytest.warns(TiesDetected):
+            est = fit([0.0, 1.0, 1.0, 1.0 + 1e-12, 1000.0], v)
+        assert est.knots[:2] == (0.0, 1.0)
+        assert 1.0 < est.knots[2] < 1.0 + 1e-12 == est.knots[3]
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             fit([1.0, 2.0, 3.0], WeightVector.from_array([0.2, 0.8]))
@@ -312,6 +380,12 @@ class TestStepEstimator:
     def test_rejects_non_finite_data(self, bad):
         with pytest.raises(ValueError, match="finite"):
             fit([1.0, bad, 2.0], WeightVector.from_array([0.2, 0.4, 0.6, 0.8]))
+
+    def test_quantile_at_or_below_first_level_is_minus_inf(self):
+        est = fit([1.0, 2.0, 3.0], WeightVector.from_array([0.2, 0.3, 0.6, 1.0]))
+        assert est.quantile(0.1) == -np.inf
+        assert est.quantile(0.2) == -np.inf
+        assert est.quantile(0.25) == 1.0
 
     def test_quantile_rejects_nan(self):
         est = fit([1.0, 2.0, 3.0], WeightVector.from_array([0.0, 0.3, 0.6, 1.0]))
